@@ -180,54 +180,23 @@ pub fn check_evaluate(point: &Point, body: &str) -> Result<(), String> {
     check_equations(point, &ModelOutput::from_evaluate(&doc)?)
 }
 
-/// The parameter a sweep request varies, with its values.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Sweep {
-    Lambda(Vec<f64>),
-    MessageBytes(Vec<u64>),
+/// The points of a λ sweep over `base`: one per value, as `(x, point)`.
+pub fn sweep_points(base: &Point, lambdas: &[f64]) -> Vec<(f64, Point)> {
+    lambdas.iter().map(|&l| (l, Point { lambda_per_us: l, ..*base })).collect()
 }
 
-impl Sweep {
-    pub fn parameter(&self) -> &'static str {
-        match self {
-            Sweep::Lambda(_) => "lambda",
-            Sweep::MessageBytes(_) => "message_bytes",
-        }
-    }
-
-    /// The sweep's points, built from the base point.
-    pub fn points(&self, base: &Point) -> Vec<(f64, Point)> {
-        match self {
-            Sweep::Lambda(values) => {
-                values.iter().map(|&l| (l, Point { lambda_per_us: l, ..*base })).collect()
-            }
-            Sweep::MessageBytes(values) => {
-                values.iter().map(|&m| (m as f64, Point { message_bytes: m, ..*base })).collect()
-            }
-        }
-    }
-
-    pub fn json_values(&self) -> String {
-        let items: Vec<String> = match self {
-            Sweep::Lambda(v) => v.iter().map(|x| x.to_string()).collect(),
-            Sweep::MessageBytes(v) => v.iter().map(|x| x.to_string()).collect(),
-        };
-        items.join(",")
-    }
-}
-
-/// Checks a `/v1/sweep` response: every point must carry the bits of
-/// the same point evaluated on its own, and that evaluation must
-/// satisfy the equations.
-pub fn check_sweep(base: &Point, sweep: &Sweep, body: &str) -> Result<(), String> {
+/// Checks a `/v1/sweep` response over λ: every point must carry the
+/// bits of the same point evaluated on its own, and that evaluation
+/// must satisfy the equations.
+pub fn check_sweep(base: &Point, lambdas: &[f64], body: &str) -> Result<(), String> {
     let doc = json::parse(body)?;
-    if doc.str(&["parameter"])? != sweep.parameter() {
+    if doc.str(&["parameter"])? != "lambda" {
         return Err("sweep parameter does not echo the request".to_string());
     }
     let Some(Json::Arr(served)) = doc.get("points") else {
         return Err("sweep response has no points array".to_string());
     };
-    let expected = sweep.points(base);
+    let expected = sweep_points(base, lambdas);
     if served.len() != expected.len() {
         return Err(format!("{} sweep points served, {} requested", served.len(), expected.len()));
     }
@@ -386,12 +355,12 @@ mod tests {
     #[test]
     fn sweep_checker_accepts_served_body_and_rejects_corruption() {
         let p = point();
-        let sweep = Sweep::Lambda(vec![5e-5, 1e-4, 1.5e-4]);
-        let spec = api::SweepSpec::Lambda(vec![5e-5, 1e-4, 1.5e-4]);
+        let lambdas = [5e-5, 1e-4, 1.5e-4];
+        let spec = api::SweepSpec::Lambda(lambdas.to_vec());
         let body = api::sweep_response(&p.config().unwrap(), &spec).unwrap();
-        check_sweep(&p, &sweep, &body).unwrap();
+        check_sweep(&p, &lambdas, &body).unwrap();
         let bad = perturb(&body, "mean_latency_us", |x| x * (1.0 + 1e-9));
-        assert!(check_sweep(&p, &sweep, &bad).is_err());
+        assert!(check_sweep(&p, &lambdas, &bad).is_err());
     }
 
     fn small_spec() -> OptimizeSpec {

@@ -4,12 +4,16 @@
 //! ```text
 //! perfbench-harness plan  --seed N --seconds S [--trace 0|1] [--trace-out PATH]
 //! perfbench-harness serve --seed N --seconds S [--trace 0|1] [--trace-out PATH]
+//! perfbench-harness plan-setup  --seed N
+//! perfbench-harness serve-setup --seed N
 //! perfbench-harness reproduce-pass --seed N [--trace 0|1] [--trace-out PATH]
 //! perfbench-harness check-claims DIR...
 //! ```
 //!
 //! Each workload mode prints one JSON line: `correct`, `attempted`,
-//! `failed`, the measured `values` by metric name, and `info`.
+//! `failed`, the measured `values` by metric name, and `info`. The
+//! `*-setup` modes run only the workload's cold, checked set-up and
+//! report its `setup_s`.
 
 mod checks;
 mod json;
@@ -64,8 +68,10 @@ fn run(args: &Args) -> Result<(), String> {
     let (outcome, info) = match (args.mode.as_str(), args.trace) {
         ("plan", false) => (plan::run(seed, seconds)?, ("workers", plan::WORKERS)),
         ("plan", true) => (plan::run_traced(seed, seconds, out)?, ("workers", plan::WORKERS)),
+        ("plan-setup", _) => (plan::run_setup(seed)?, ("workers", plan::WORKERS)),
         ("serve", false) => (serve::run(seed, seconds)?, ("callers", serve::callers())),
         ("serve", true) => (serve::run_traced(seed, seconds, out)?, ("callers", serve::callers())),
+        ("serve-setup", _) => (serve::run_setup(seed)?, ("callers", serve::callers())),
         ("reproduce-pass", traced) => {
             (pass::run(seed, traced, out)?, ("traced", usize::from(traced)))
         }

@@ -20,8 +20,6 @@ pub const NODE_COUNTS: [usize; 4] = [64, 96, 128, 256];
 pub const QUERIES_PER_NODE_COUNT: usize = 16;
 /// Message sizes a query may carry, bytes.
 const MESSAGE_BYTES: [u64; 5] = [256, 512, 1024, 2048, 4096];
-/// Warm-up rounds; `setup_s` is their median.
-const SETUP_ROUNDS: usize = 5;
 /// Workers of every query. The kernel's batches then run inline; on a
 /// two-core host that is both faster and steadier than two workers.
 pub const WORKERS: usize = 1;
@@ -125,6 +123,15 @@ impl Answers {
         }
     }
 
+    fn outcome(&self, metrics: Metrics) -> Outcome {
+        Outcome {
+            correct: self.wrong == 0,
+            attempted: self.attempted,
+            failed: self.failed,
+            metrics,
+        }
+    }
+
     /// Checks each query's first answer against the exhaustive
     /// optimizer and the frontier properties. Runs after the measured
     /// phase, so its allocations stay out of `peak_rss_mb`.
@@ -141,26 +148,17 @@ impl Answers {
     }
 }
 
-/// Answers every query once per round, timed; `setup_s` is the median
-/// of the rounds' times.
+/// The set-up: every query answered once, timed; that time is
+/// `setup_s`. The answers become the first answers.
 fn setup(specs: &[OptimizeSpec], options: BatchOptions) -> Result<(Answers, f64), String> {
-    let mut first = Vec::new();
-    let mut first_round = 0.0;
+    let mut first = Vec::with_capacity(specs.len());
+    let mut spent = 0.0;
     for spec in specs {
         let (outcome, seconds) = timed(|| optimize::optimize_pruned(spec, options));
-        first_round += seconds;
+        spent += seconds;
         first.push(outcome.map_err(|e| e.to_string())?);
     }
-    let mut answers = Answers { first, attempted: specs.len() as u64, failed: 0, wrong: 0 };
-    let mut rounds = vec![first_round];
-    for _ in 1..SETUP_ROUNDS {
-        let mut round = 0.0;
-        for (i, spec) in specs.iter().enumerate() {
-            round += answers.ask(i, spec, options).unwrap_or(0.0);
-        }
-        rounds.push(round);
-    }
-    Ok((answers, median(&rounds)))
+    Ok((Answers { first, attempted: specs.len() as u64, failed: 0, wrong: 0 }, spent))
 }
 
 /// Whole rounds of queries until `seconds` have been spent querying.
@@ -187,6 +185,17 @@ fn measure(
     times
 }
 
+/// One cold set-up in this process, checked; it reports `setup_s` only.
+pub fn run_setup(seed: u64) -> Result<Outcome, String> {
+    let specs = queries(seed);
+    let options = BatchOptions::with_workers(WORKERS);
+    let (mut answers, setup_s) = setup(&specs, options)?;
+    answers.check_first(&specs, options);
+    let mut m = Metrics::default();
+    m.push("setup_s", setup_s);
+    Ok(answers.outcome(m))
+}
+
 pub fn run(seed: u64, seconds: f64) -> Result<Outcome, String> {
     let specs = queries(seed);
     let options = BatchOptions::with_workers(WORKERS);
@@ -199,12 +208,7 @@ pub fn run(seed: u64, seconds: f64) -> Result<Outcome, String> {
     m.push("peak_rss_mb", peak_rss_mb);
     m.push("p50_ms", median(&times) * 1e3);
     m.push("throughput_per_s", times.len() as f64 / times.iter().sum::<f64>());
-    Ok(Outcome {
-        correct: answers.wrong == 0,
-        attempted: answers.attempted,
-        failed: answers.failed,
-        metrics: m,
-    })
+    Ok(answers.outcome(m))
 }
 
 /// The traced run: an untraced half measuring the query stream and
@@ -288,10 +292,5 @@ pub fn run_traced(seed: u64, seconds: f64, trace_out: &std::path::Path) -> Resul
     m.push("query.p99_ms", percentile(&untraced_ms, 99.0));
     m.push_tail(tail(&untraced_ms), untraced_ms.len());
     m.push("trace.overhead_ms", median(&pruned_ms) - median(&plain_ms));
-    Ok(Outcome {
-        correct: answers.wrong == 0,
-        attempted: answers.attempted,
-        failed: answers.failed,
-        metrics: m,
-    })
+    Ok(answers.outcome(m))
 }

@@ -29,11 +29,6 @@ impl Rng {
         lo + (hi - lo) * self.unit()
     }
 
-    /// Log-uniform in `[lo, hi)`.
-    pub fn log_range(&mut self, lo: f64, hi: f64) -> f64 {
-        self.range(lo.ln(), hi.ln()).exp()
-    }
-
     /// One element of `items`, uniformly.
     pub fn pick<T: Copy>(&mut self, items: &[T]) -> T {
         items[(self.next_u64() % items.len() as u64) as usize]

@@ -3,10 +3,10 @@
 //! callers over a seeded working set of distinct, unsaturated
 //! `/v1/evaluate` points and a share of `/v1/sweep` requests.
 
-use crate::checks::{check_evaluate, check_sweep, Point, Sweep};
+use crate::checks::{check_evaluate, check_sweep, Point};
 use crate::report::{counters, peak_rss_mb, Metrics, Outcome};
 use crate::rng::Rng;
-use crate::stats::{median, Histogram};
+use crate::stats::Histogram;
 use crate::trace::Tracer;
 use hmcs_core::batch::{self, BatchOptions};
 use hmcs_core::scenario::Scenario;
@@ -17,32 +17,39 @@ use hmcs_serve::{api, http};
 use hmcs_topology::transmission::Architecture;
 use std::collections::HashSet;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// Distinct requests in the working set; far more than the requests in
 /// flight, so no caller repeats a point while another holds it.
 pub const WORKING_SET: usize = 2048;
-/// Share of the working set that are `/v1/sweep` requests.
-const SWEEP_SHARE: f64 = 0.1;
-/// Points per sweep request.
-const SWEEP_POINTS: usize = 8;
-/// Total node counts the points are drawn over.
+/// Every `SWEEP_EVERY`-th entry is a `/v1/sweep` over λ with
+/// `SWEEP_POINTS` values, and message sizes are drawn from
+/// `MESSAGE_BYTES`. These follow the repository's CI serve smoke burst
+/// (`hmcs-loadgen --sweep-permille 50`, whose sweeps carry four λ
+/// values, with the default message sizes of `loadgen::MixConfig`); no
+/// recorded production traffic exists to take a mix from.
+const SWEEP_EVERY: usize = 20;
+const SWEEP_POINTS: usize = 4;
+const MESSAGE_BYTES: [u64; 3] = [256, 1024, 4096];
+/// Total node counts the points are drawn over: the paper's 256 with
+/// one halving and one doubling either side, all with many divisors.
 const TOTAL_NODES: [usize; 4] = [64, 128, 256, 512];
-/// Load as a share of each point's saturation rate.
+/// Load as a share of each point's saturation rate: every point is
+/// unsaturated, and the solver's work varies from near-idle to heavy
+/// queueing.
 const LOAD: (f64, f64) = (0.05, 0.9);
-/// Set-up repetitions, each with a fresh server; `setup_s` is their median.
-const SETUP_ROUNDS: usize = 5;
 /// Replays of the working set in the traced run.
 const REPLAY_ROUNDS: usize = 4;
 
 /// One working-set request with the response it must get.
 pub struct Entry {
     point: Point,
-    sweep: Option<Sweep>,
+    /// The λ values of a sweep request.
+    sweep: Option<Vec<f64>>,
     request: Vec<u8>,
-    /// Filled by the first set-up round, after the checkers pass.
+    /// Filled by the set-up, after the checkers pass.
     expected_body: Vec<u8>,
     expected_response: Vec<u8>,
 }
@@ -73,37 +80,23 @@ pub fn working_set(seed: u64) -> Result<Vec<Entry>, String> {
             architecture: rng.pick(&[Architecture::NonBlocking, Architecture::Blocking]),
             clusters,
             nodes_per_cluster: total / clusters,
-            message_bytes: rng.log_range(128.0, 8192.0).round() as u64,
+            message_bytes: rng.pick(&MESSAGE_BYTES),
             lambda_per_us: 1e-9,
         };
-        let (path, body, sweep) = if rng.unit() < SWEEP_SHARE {
-            let sweep = if rng.unit() < 0.5 {
-                let sat = saturation(&point)?;
-                let loads = sorted((0..SWEEP_POINTS).map(|_| rng.range(LOAD.0, LOAD.1)).collect());
-                Sweep::Lambda(loads.iter().map(|u| u * sat).collect())
-            } else {
-                let sizes = sorted(
-                    (0..SWEEP_POINTS).map(|_| rng.log_range(128.0, 8192.0).round()).collect(),
-                );
-                let mut sat = f64::INFINITY;
-                for &m in &sizes {
-                    sat = sat.min(saturation(&Point { message_bytes: m as u64, ..point })?);
-                }
-                point.lambda_per_us = rng.range(LOAD.0, LOAD.1) * sat;
-                Sweep::MessageBytes(sizes.iter().map(|&m| m as u64).collect())
-            };
-            if let Sweep::Lambda(values) = &sweep {
-                point.lambda_per_us = values[0];
-            }
+        let sat = saturation(&point)?;
+        let (path, body, sweep) = if entries.len() % SWEEP_EVERY == 0 {
+            let lambdas =
+                sorted((0..SWEEP_POINTS).map(|_| rng.range(LOAD.0, LOAD.1) * sat).collect());
+            point.lambda_per_us = lambdas[0];
+            let values: Vec<String> = lambdas.iter().map(f64::to_string).collect();
             let body = format!(
-                "{{{},\"parameter\":\"{}\",\"values\":[{}]}}",
+                "{{{},\"parameter\":\"lambda\",\"values\":[{}]}}",
                 point.json_fields(),
-                sweep.parameter(),
-                sweep.json_values()
+                values.join(",")
             );
-            ("/v1/sweep", body, Some(sweep))
+            ("/v1/sweep", body, Some(lambdas))
         } else {
-            point.lambda_per_us = rng.range(LOAD.0, LOAD.1) * saturation(&point)?;
+            point.lambda_per_us = rng.range(LOAD.0, LOAD.1) * sat;
             ("/v1/evaluate", format!("{{{}}}", point.json_fields()), None)
         };
         if !seen.insert(body.clone()) {
@@ -196,25 +189,28 @@ struct Tally {
     wrong: u64,
 }
 
-/// A response as a set-up caller received it. `bytes` is kept only in
-/// the first round; later rounds compare the body where it arrives, so
-/// their callers copy no responses.
+impl Tally {
+    fn outcome(&self, metrics: Metrics) -> Outcome {
+        Outcome {
+            correct: self.wrong == 0,
+            attempted: self.attempted,
+            failed: self.failed,
+            metrics,
+        }
+    }
+}
+
+/// A whole response as a set-up caller received it.
 struct Received {
     status: u16,
     head_len: usize,
     bytes: Vec<u8>,
-    same_body: bool,
 }
 
 /// Sends every entry's request once, split over `callers` synchronous
 /// callers (caller `k` takes entries `k`, `k + callers`, …), and returns
 /// the responses in entry order.
-fn fetch_all(
-    addr: SocketAddr,
-    entries: &[Entry],
-    callers: usize,
-    keep: bool,
-) -> Result<Vec<Received>, String> {
+fn fetch_all(addr: SocketAddr, entries: &[Entry], callers: usize) -> Result<Vec<Received>, String> {
     let parts: Vec<Result<Vec<(usize, Received)>, String>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..callers)
             .map(|k| {
@@ -225,17 +221,14 @@ fn fetch_all(
                         let reply = conn
                             .round_trip(&entries[i].request)
                             .map_err(|e| format!("set-up request {i}: {e}"))?;
-                        let received = Received {
-                            status: reply.status,
-                            head_len: reply.head_len,
-                            bytes: if keep {
-                                conn.buf[..reply.head_len + reply.len].to_vec()
-                            } else {
-                                Vec::new()
+                        got.push((
+                            i,
+                            Received {
+                                status: reply.status,
+                                head_len: reply.head_len,
+                                bytes: conn.buf[..reply.head_len + reply.len].to_vec(),
                             },
-                            same_body: conn.body(&reply) == entries[i].expected_body.as_slice(),
-                        };
-                        got.push((i, received));
+                        ));
                         if reply.close {
                             conn = Conn::open(addr).map_err(|e| e.to_string())?;
                         }
@@ -254,56 +247,36 @@ fn fetch_all(
     Ok(all.into_iter().map(|(_, r)| r).collect())
 }
 
-/// One set-up: `Server::start` to the first response, plus one request
+/// The set-up: `Server::start` to the first response, plus one request
 /// per working-set entry from the same callers as the measured phase.
-/// Only that is timed. The first round then runs the checkers and
-/// records each response; later rounds must reproduce those bytes.
-fn setup_round(
-    entries: &mut [Entry],
-    first: bool,
-    tally: &mut Tally,
-) -> Result<(Server, f64), String> {
+/// Only that is timed. The checkers then run on every response, and
+/// its bytes are kept for the measured phase to compare against.
+fn setup(entries: &mut [Entry], tally: &mut Tally) -> Result<(Server, f64), String> {
     let started = Instant::now();
     let server = Server::start(server_config()).map_err(|e| e.to_string())?;
-    let received = fetch_all(server.local_addr(), entries, callers(), first)?;
+    let received = fetch_all(server.local_addr(), entries, callers())?;
     let spent = started.elapsed().as_secs_f64();
     for (i, (entry, got)) in entries.iter_mut().zip(received).enumerate() {
         tally.attempted += 1;
         if got.status != 200 {
             eprintln!("set-up request {i} answered {}", got.status);
             tally.failed += 1;
-        } else if first {
-            let body = &got.bytes[got.head_len..];
-            let text = String::from_utf8_lossy(body);
-            let checked = match &entry.sweep {
-                None => check_evaluate(&entry.point, &text),
-                Some(sweep) => check_sweep(&entry.point, sweep, &text),
-            };
-            if let Err(e) = checked {
-                eprintln!("request {i} failed its check: {e}");
-                tally.wrong += 1;
-            }
-            entry.expected_body = body.to_vec();
-            entry.expected_response = got.bytes;
-        } else if !got.same_body {
+            continue;
+        }
+        let body = &got.bytes[got.head_len..];
+        let text = String::from_utf8_lossy(body);
+        let checked = match &entry.sweep {
+            None => check_evaluate(&entry.point, &text),
+            Some(lambdas) => check_sweep(&entry.point, lambdas, &text),
+        };
+        if let Err(e) = checked {
+            eprintln!("request {i} failed its check: {e}");
             tally.wrong += 1;
         }
+        entry.expected_body = body.to_vec();
+        entry.expected_response = got.bytes;
     }
     Ok((server, spent))
-}
-
-fn setup(entries: &mut [Entry], rounds: usize, tally: &mut Tally) -> Result<(Server, f64), String> {
-    let mut times = Vec::new();
-    let mut last = None;
-    for round in 0..rounds {
-        if let Some(server) = last.take() {
-            Server::shutdown(server);
-        }
-        let (server, spent) = setup_round(entries, round == 0, tally)?;
-        times.push(spent);
-        last = Some(server);
-    }
-    Ok((last.expect("at least one set-up round"), median(&times)))
 }
 
 struct CallerRun {
@@ -382,8 +355,8 @@ fn caller(
                     if c.body(&reply) != entry.expected_body.as_slice() {
                         run.tally.wrong += 1;
                     }
-                    if let Some(sweep) = &entry.sweep {
-                        run.sweep_points += sweep.points(&entry.point).len() as u64;
+                    if let Some(lambdas) = &entry.sweep {
+                        run.sweep_points += lambdas.len() as u64;
                     }
                     // The server closes a connection after its request cap.
                     !reply.close
@@ -449,10 +422,21 @@ pub fn callers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// One cold set-up in this process, checked; it reports `setup_s` only.
+pub fn run_setup(seed: u64) -> Result<Outcome, String> {
+    let mut entries = working_set(seed)?;
+    let mut tally = Tally::default();
+    let (server, setup_s) = setup(&mut entries, &mut tally)?;
+    server.shutdown();
+    let mut m = Metrics::default();
+    m.push("setup_s", setup_s);
+    Ok(tally.outcome(m))
+}
+
 pub fn run(seed: u64, seconds: f64) -> Result<Outcome, String> {
     let mut entries = working_set(seed)?;
     let mut tally = Tally::default();
-    let (server, setup_s) = setup(&mut entries, SETUP_ROUNDS, &mut tally)?;
+    let (server, setup_s) = setup(&mut entries, &mut tally)?;
     let phase = measure(&server, &entries, callers(), seconds, &mut tally)?;
     server.shutdown();
     let mut m = Metrics::default();
@@ -460,92 +444,109 @@ pub fn run(seed: u64, seconds: f64) -> Result<Outcome, String> {
     m.push("peak_rss_mb", peak_rss_mb()?);
     m.push("p50_ms", phase.times.percentile(50.0) / 1e6);
     m.push("throughput_per_s", phase.times.count() as f64 / phase.wall_s);
-    Ok(Outcome {
-        correct: tally.wrong == 0,
-        attempted: tally.attempted,
-        failed: tally.failed,
-        metrics: m,
-    })
+    Ok(tally.outcome(m))
 }
 
-/// Runs `f` in a span when a tracer is given.
-fn stage<T>(tracer: &mut Option<&mut Tracer>, name: &'static str, f: impl FnOnce() -> T) -> T {
-    match tracer {
-        Some(t) => t.span(name, |_| f()),
-        None => f(),
+/// Both ends of one loopback connection. The replay reads each request
+/// from `server` as a server worker does, so `serve.http_read` includes
+/// the receive system calls.
+struct Loopback {
+    client: TcpStream,
+    server: TcpStream,
+    reader: http::RequestReader,
+}
+
+impl Loopback {
+    fn open() -> io::Result<Loopback> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let client = TcpStream::connect(listener.local_addr()?)?;
+        let (server, _) = listener.accept()?;
+        for stream in [&client, &server] {
+            stream.set_nodelay(true)?;
+            stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+        }
+        Ok(Loopback { client, server, reader: http::RequestReader::new() })
     }
 }
 
-/// Replays one entry's request bytes through the server's own steps,
-/// without a socket, and returns the serialised response.
-fn replay(entry: &Entry, mut tracer: Option<&mut Tracer>) -> Result<Vec<u8>, String> {
+/// Replays one entry through the server's own steps. The client end
+/// sends the request bytes; the server end then reads, parses, keys,
+/// solves, renders and serialises it, each step a span of `t`. The
+/// response goes back to the client outside the spans, as the server
+/// writes it after its request clock stops. Returns the response bytes.
+fn replay(entry: &Entry, lo: &mut Loopback, t: &mut Tracer) -> Result<Vec<u8>, String> {
+    let io_err = |e: io::Error| e.to_string();
+    lo.client.write_all(&entry.request).map_err(io_err)?;
     let deadline = Instant::now() + Duration::from_secs(60);
-    let mut reader = http::RequestReader::new();
-    let mut bytes = io::Cursor::new(entry.request.as_slice());
-    let request = stage(&mut tracer, "serve.http_read", || {
-        reader.read_request(&mut bytes, ServerConfig::default().max_body_bytes, deadline)
-    })
-    .map_err(|e| e.reason())?
-    .ok_or("no request in the bytes")?;
+    let max_body = ServerConfig::default().max_body_bytes;
+    let request = t
+        .span("serve.http_read", |_| lo.reader.read_request(&mut lo.server, max_body, deadline))
+        .map_err(|e| e.reason())?
+        .ok_or("connection closed")?;
     let body = std::str::from_utf8(&request.body).map_err(|e| e.to_string())?;
     let rendered = match &entry.sweep {
         None => {
-            let (config, _) = stage(&mut tracer, "serve.parse", || api::parse_evaluate(body))
-                .map_err(|e| e.body())?;
-            let solved =
-                stage(&mut tracer, "serve.solve", || batch::evaluate_one(&config, None, None));
-            stage(&mut tracer, "serve.render", || api::evaluate_response_from(&config, solved))
+            let (config, _) =
+                t.span("serve.parse", |_| api::parse_evaluate(body)).map_err(|e| e.body())?;
+            t.span("serve.key", |_| std::hint::black_box(api::evaluate_key(&config)));
+            let solved = t.span("serve.solve", |_| batch::evaluate_one(&config, None, None));
+            t.span("serve.render", |_| api::evaluate_response_from(&config, solved))
         }
         Some(_) => {
-            let (config, spec, _) = stage(&mut tracer, "serve.parse", || api::parse_sweep(body))
+            let (config, spec, _) =
+                t.span("serve.parse", |_| api::parse_sweep(body)).map_err(|e| e.body())?;
+            t.span("serve.key", |_| std::hint::black_box(api::sweep_key(&config, &spec)));
+            let solved = t
+                .span("serve.solve", |_| {
+                    api::sweep_configs(&config, &spec)
+                        .map(|configs| batch::evaluate_many(&configs, BatchOptions::sequential()))
+                })
                 .map_err(|e| e.body())?;
-            let solved = stage(&mut tracer, "serve.solve", || {
-                api::sweep_configs(&config, &spec)
-                    .map(|configs| batch::evaluate_many(&configs, BatchOptions::sequential()))
-            })
-            .map_err(|e| e.body())?;
-            stage(&mut tracer, "serve.render", || api::sweep_response_from(&config, &spec, solved))
+            t.span("serve.render", |_| api::sweep_response_from(&config, &spec, solved))
         }
     };
     let response = http::Response::json(rendered.map_err(|e| e.body())?);
     let mut out = Vec::with_capacity(2048);
-    stage(&mut tracer, "serve.serialize", || http::serialize_response(&mut out, &response, false));
+    t.span("serve.serialize", |_| http::serialize_response(&mut out, &response, false));
+    lo.server.write_all(&out).map_err(io_err)?;
+    let mut echoed = vec![0u8; out.len()];
+    lo.client.read_exact(&mut echoed).map_err(io_err)?;
     Ok(out)
 }
 
 /// The traced run: the same client run, with the server's counters
-/// read around it, then a socket-free replay of the working set in
-/// which each of the server's steps is a span.
+/// read around it, then a replay of the working set over one loopback
+/// connection, without the server, in which each of the server's steps
+/// is a span.
 pub fn run_traced(seed: u64, seconds: f64, trace_out: &std::path::Path) -> Result<Outcome, String> {
     let mut entries = working_set(seed)?;
     let mut tally = Tally::default();
-    let (server, _) = setup(&mut entries, 1, &mut tally)?;
+    let (server, _) = setup(&mut entries, &mut tally)?;
     let before = counters();
     let phase = measure(&server, &entries, callers(), seconds, &mut tally)?;
     let after = counters();
     server.shutdown();
 
+    // Each entry is replayed untraced, then traced, over one loopback
+    // connection.
+    let mut lo = Loopback::open().map_err(|e| e.to_string())?;
     let mut tracer = Tracer::new();
+    let mut plain = Tracer::disabled();
     let (mut untraced_ns, mut traced_ns, mut replays) = (0u128, 0u128, 0u64);
     for _ in 0..REPLAY_ROUNDS {
         for entry in &entries {
-            tally.attempted += 2;
-            let t0 = Instant::now();
-            let plain = replay(entry, None);
-            untraced_ns += t0.elapsed().as_nanos();
-            let t0 = Instant::now();
-            tracer.begin("serve.replay");
-            let traced = replay(entry, Some(&mut tracer));
-            tracer.end();
-            traced_ns += t0.elapsed().as_nanos();
-            replays += 1;
-            for out in [plain, traced] {
+            for (t, ns) in [(&mut plain, &mut untraced_ns), (&mut tracer, &mut traced_ns)] {
+                tally.attempted += 1;
+                let t0 = Instant::now();
+                let out = t.span("serve.replay", |t| replay(entry, &mut lo, t));
+                *ns += t0.elapsed().as_nanos();
                 match out {
                     Ok(bytes) if bytes == entry.expected_response => {}
                     Ok(_) => tally.wrong += 1,
                     Err(_) => tally.failed += 1,
                 }
             }
+            replays += 1;
         }
     }
     tracer.write(trace_out).map_err(|e| e.to_string())?;
@@ -557,8 +558,14 @@ pub fn run_traced(seed: u64, seconds: f64, trace_out: &std::path::Path) -> Resul
     let requests = (after.request_count - before.request_count) as f64;
     let server_mean_us = (after.request_us - before.request_us) as f64 / requests;
     let client_p50_us = phase.times.percentile(50.0) / 1e3;
-    let stages =
-        ["serve.http_read", "serve.parse", "serve.solve", "serve.render", "serve.serialize"];
+    let stages = [
+        "serve.http_read",
+        "serve.parse",
+        "serve.key",
+        "serve.solve",
+        "serve.render",
+        "serve.serialize",
+    ];
     let lanes = (after.solves - before.solves) as f64;
 
     let mut m = Metrics::default();
@@ -566,6 +573,7 @@ pub fn run_traced(seed: u64, seconds: f64, trace_out: &std::path::Path) -> Resul
     m.push("serve.outside_server_us", client_p50_us - server_mean_us);
     m.push("serve.http_read_us", per_replay_us("serve.http_read"));
     m.push("serve.parse_us", per_replay_us("serve.parse"));
+    m.push("serve.key_us", per_replay_us("serve.key"));
     m.push("serve.solve_us", per_replay_us("serve.solve"));
     m.push("serve.render_us", per_replay_us("serve.render"));
     m.push("serve.serialize_us", per_replay_us("serve.serialize"));
@@ -588,10 +596,5 @@ pub fn run_traced(seed: u64, seconds: f64, trace_out: &std::path::Path) -> Resul
     );
     m.push("kernel.lanes_per_s", lanes / phase.wall_s);
     m.push("trace.overhead_ms", (traced_ns as f64 - untraced_ns as f64) / 1e6 / replays as f64);
-    Ok(Outcome {
-        correct: tally.wrong == 0,
-        attempted: tally.attempted,
-        failed: tally.failed,
-        metrics: m,
-    })
+    Ok(tally.outcome(m))
 }

@@ -31,8 +31,9 @@ HARNESS_MANIFEST = os.path.join("perfbench", "harness", "Cargo.toml")
 # Environment the program reads; unset so every run uses the paper
 # simulation budget, the default worker pool and no metrics printout.
 PROGRAM_ENV = ("HMCS_SIM_BUDGET", "HMCS_POOL_WORKERS", "HMCS_METRICS")
-# Warm-up passes of `reproduce`; `setup_s` is their median.
-REPRODUCE_WARMUP = 5
+# Cold set-ups per untraced run, each in a fresh process; `setup_s` is
+# their median.
+SETUP_PROCESSES = 5
 
 
 class BenchError(Exception):
@@ -134,7 +135,7 @@ def run_reproduce(binary, harness, seed, seconds, trace, scratch):
         return passes[-1]
 
     if not trace:
-        warmup = [one_pass()[1] for _ in range(REPRODUCE_WARMUP)]
+        warmup = [one_pass()[1] for _ in range(SETUP_PROCESSES)]
         measured = []
         while sum(measured) < seconds:
             measured.append(one_pass()[1])
@@ -175,6 +176,26 @@ def run_reproduce(binary, harness, seed, seconds, trace, scratch):
     }
 
 
+def run_in_process(harness, workload, seed, seconds, trace):
+    """`plan` or `serve`: one harness process runs the workload and
+    reports its own cold set-up. An untraced run first starts
+    SETUP_PROCESSES - 1 more processes that only set up, so `setup_s`
+    is a median over fresh processes."""
+    setups = [] if trace else [harness_json(harness, [workload + "-setup", "--seed", str(seed)])
+                               for _ in range(SETUP_PROCESSES - 1)]
+    trace_out = os.path.join(OUT, f"trace-{workload}-{seed}.jsonl")
+    result = harness_json(harness, [workload, "--seed", str(seed), "--seconds", str(seconds),
+                                    "--trace", str(trace), "--trace-out", trace_out])
+    if setups:
+        result["values"]["setup_s"] = statistics.median(
+            r["values"]["setup_s"] for r in setups + [result])
+    for r in setups:
+        result["correct"] = result["correct"] and r["correct"]
+        result["attempted"] += r["attempted"]
+        result["failed"] += r["failed"]
+    return result
+
+
 def host_facts(workload, seed, info):
     cpu = "unknown"
     try:
@@ -210,11 +231,7 @@ def main():
         if args.workload == "reproduce":
             result = run_reproduce(binary, harness, args.seed, args.seconds, args.trace, scratch)
         else:
-            trace_out = os.path.join(OUT, f"trace-{args.workload}-{args.seed}.jsonl")
-            result = harness_json(harness, [args.workload, "--seed", str(args.seed),
-                                            "--seconds", str(args.seconds),
-                                            "--trace", str(args.trace),
-                                            "--trace-out", trace_out])
+            result = run_in_process(harness, args.workload, args.seed, args.seconds, args.trace)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

@@ -4,12 +4,10 @@ prints the median, quartiles, min and max of every metric, with the
 quartile spread as a share of the median (the figure `BENCHMARK.json`'s
 bounds are set against) and the share of failed operations.
 
-    python3 perfbench/stability.py --workload plan --runs 10 [--seconds 20]
-        [--first-seed 1] [--raw FILE]
+    python3 perfbench/stability.py --workload plan --runs 10 [--first-seed 1]
 
-Run it from the repository root. `--seconds` defaults to the
-`run_seconds` of `BENCHMARK.json`; `--raw` also writes every run's
-result line as JSON lines.
+Run it from the repository root. Each run lasts the `run_seconds` of
+`BENCHMARK.json`.
 """
 
 import argparse
@@ -37,15 +35,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--raw")
     args = parser.parse_args()
     if args.runs < 2:
         parser.error("--runs must be at least 2")
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     results = []
@@ -54,10 +50,6 @@ def main():
         results.append(run_once(args.workload, seed, seconds))
         print(f"seed {seed}: " + " ".join(
             f"{k}={v['value']:.6g}" for k, v in results[-1]["metrics"].items()), flush=True)
-    if args.raw:
-        with open(args.raw, "w") as f:
-            for r in results:
-                f.write(json.dumps(r) + "\n")
 
     print(f"\n{args.workload}: {args.runs} runs of {seconds:g} s, seeds "
           f"{args.first_seed}..{args.first_seed + args.runs - 1}")
